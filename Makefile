@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the tier-1 verification gate
-# (see ROADMAP.md) plus a -race pass over the packages with the most
-# lock-free concurrency and a short fuzz of the recovery decoders.
+# (see ROADMAP.md) plus a -race pass over the simulation kernel and the
+# packages with the most lock-free concurrency, and a short fuzz of the
+# recovery decoders.
 
 GO ?= go
 
@@ -18,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/telemetry/... ./internal/engine/... \
+	$(GO) test -race ./internal/sim/... ./internal/telemetry/... ./internal/engine/... \
 		./internal/rpc/... ./internal/memnode/... ./internal/faults/... \
 		./internal/cache/... ./internal/shard/... ./internal/wal/... \
 		./internal/sstable/... ./internal/iterx/... ./internal/readahead/... \

@@ -320,13 +320,12 @@ type Notifier struct {
 }
 
 // Waiter is one armed wake-up registration. All fields are guarded by the
-// notifier mutex; signaled/blocked sequence the race between a waker (the
+// notifier mutex; signaled/proc sequence the race between a waker (the
 // notifier loop, a drain, or the deadline alarm) and a requester that has
 // armed but not yet parked.
 type Waiter struct {
-	ch       chan struct{}
+	proc     *sim.Proc // the parked requester; nil until it parks
 	alarm    *sim.Alarm
-	blocked  bool // requester is parked (Unblock on wake is owed)
 	signaled bool // a waker already decided this waiter's fate
 	timedOut bool
 }
@@ -367,7 +366,7 @@ func (n *Notifier) NewID() uint32 {
 // Arm registers the calling requester to be woken when a reply with its id
 // arrives. Arm before issuing the request; then block with Wait.
 func (n *Notifier) Arm(id uint32) *Waiter {
-	w := &Waiter{ch: make(chan struct{})}
+	w := &Waiter{}
 	n.mu.Lock()
 	n.armed[id] = w
 	n.mu.Unlock()
@@ -410,10 +409,9 @@ func (n *Notifier) Wait(id uint32, w *Waiter, deadline sim.Time) bool {
 		}
 		return !w.timedOut
 	}
-	w.blocked = true
+	w.proc = n.env.Clock().Current()
 	n.mu.Unlock()
 	n.env.Clock().Block("rpc.sleep")
-	<-w.ch
 	return !w.timedOut
 }
 
@@ -421,15 +419,13 @@ func (n *Notifier) Wait(id uint32, w *Waiter, deadline sim.Time) bool {
 // removed it from the armed map.
 func (n *Notifier) wakeLocked(w *Waiter) {
 	w.signaled = true
+	// A requester that has not parked yet observes signaled in Wait (or
+	// calls Disarm) and never blocks, so the scheduler is not involved.
 	switch {
 	case w.alarm != nil:
 		w.alarm.Cancel()
-	case w.blocked:
-		n.env.Clock().Ready("rpc.sleep", w.ch)
-	default:
-		// Not parked yet: Wait (or Disarm) observes signaled and never
-		// blocks, so the scheduler is not involved.
-		close(w.ch)
+	case w.proc != nil:
+		n.env.Clock().Ready("rpc.sleep", w.proc)
 	}
 }
 

@@ -16,14 +16,14 @@ type Chan[T any] struct {
 }
 
 type chanWaiter[T any] struct {
-	ch chan struct{}
+	p  *Proc
 	v  T
 	ok bool
 }
 
 type chanSender[T any] struct {
-	ch chan struct{}
-	v  T
+	p *Proc
+	v T
 }
 
 // NewChan returns a channel with the given buffer capacity.
@@ -43,11 +43,10 @@ func (c *Chan[T]) Send(v T) {
 	}
 	// Direct handoff to a parked receiver if one exists.
 	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+		w := popFront(&c.recvq)
 		w.v, w.ok = v, true
 		c.mu.Unlock()
-		c.clock.Ready("chan.recv", w.ch)
+		c.clock.Ready("chan.recv", w.p)
 		return
 	}
 	if len(c.buf) < c.cap {
@@ -55,11 +54,9 @@ func (c *Chan[T]) Send(v T) {
 		c.mu.Unlock()
 		return
 	}
-	s := &chanSender[T]{ch: make(chan struct{}), v: v}
-	c.sendq = append(c.sendq, s)
+	c.sendq = append(c.sendq, &chanSender[T]{p: c.clock.Current(), v: v})
 	c.mu.Unlock()
 	c.clock.Block("chan.send")
-	<-s.ch
 }
 
 // TrySend enqueues v without blocking, reporting whether it was accepted.
@@ -70,11 +67,10 @@ func (c *Chan[T]) TrySend(v T) bool {
 		return true // dropped, as in Send
 	}
 	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+		w := popFront(&c.recvq)
 		w.v, w.ok = v, true
 		c.mu.Unlock()
-		c.clock.Ready("chan.recv", w.ch)
+		c.clock.Ready("chan.recv", w.p)
 		return true
 	}
 	if len(c.buf) < c.cap {
@@ -95,32 +91,29 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 		c.buf = c.buf[1:]
 		// A parked sender can now take the freed slot.
 		if len(c.sendq) > 0 {
-			s := c.sendq[0]
-			c.sendq = c.sendq[1:]
+			s := popFront(&c.sendq)
 			c.buf = append(c.buf, s.v)
 			c.mu.Unlock()
-			c.clock.Ready("chan.send", s.ch)
+			c.clock.Ready("chan.send", s.p)
 			return v, true
 		}
 		c.mu.Unlock()
 		return v, true
 	}
 	if len(c.sendq) > 0 { // zero-capacity rendezvous
-		s := c.sendq[0]
-		c.sendq = c.sendq[1:]
+		s := popFront(&c.sendq)
 		c.mu.Unlock()
-		c.clock.Ready("chan.send", s.ch)
+		c.clock.Ready("chan.send", s.p)
 		return s.v, true
 	}
 	if c.closed {
 		c.mu.Unlock()
 		return v, false
 	}
-	w := &chanWaiter[T]{ch: make(chan struct{})}
+	w := &chanWaiter[T]{p: c.clock.Current()}
 	c.recvq = append(c.recvq, w)
 	c.mu.Unlock()
 	c.clock.Block("chan.recv")
-	<-w.ch
 	return w.v, w.ok
 }
 
@@ -133,10 +126,9 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		v = c.buf[0]
 		c.buf = c.buf[1:]
 		if len(c.sendq) > 0 {
-			s := c.sendq[0]
-			c.sendq = c.sendq[1:]
+			s := popFront(&c.sendq)
 			c.buf = append(c.buf, s.v)
-			c.clock.Ready("chan.send", s.ch)
+			c.clock.Ready("chan.send", s.p)
 		}
 		return v, true
 	}
@@ -157,11 +149,11 @@ func (c *Chan[T]) Close() {
 	c.sendq = nil
 	c.mu.Unlock()
 	for _, w := range q {
-		c.clock.Ready("chan.recv", w.ch)
+		c.clock.Ready("chan.recv", w.p)
 	}
 	// Parked senders wake with their values discarded.
 	for _, s := range sq {
-		c.clock.Ready("chan.send", s.ch)
+		c.clock.Ready("chan.send", s.p)
 	}
 }
 

@@ -1,9 +1,18 @@
+//go:build go1.23
+
 // Package sim implements a discrete-event simulation kernel with a virtual
-// clock. Simulated threads ("entities") are real goroutines executing real
-// code; only *time* is virtual. An entity is either running (executing Go
-// code on the host), ready (runnable, awaiting dispatch) or blocked
-// (waiting on the virtual clock or on a sim-aware synchronization
-// primitive).
+// clock. Simulated threads ("entities") execute real code; only *time* is
+// virtual. An entity is either running (executing Go code on the host),
+// ready (runnable, awaiting dispatch) or blocked (waiting on the virtual
+// clock or on a sim-aware synchronization primitive).
+//
+// Each entity is a coroutine (iter.Pull) and each Clock has one kernel
+// goroutine that resumes them one at a time. An entity blocks by yielding
+// back to the kernel, which picks the next entity and switches to it
+// directly: a dispatch costs two coroutine switches and no allocation,
+// channel operation or trip through the Go scheduler. The kernel goroutine
+// exists only while the simulation has work; host-side Env.Go, Env.Run and
+// Ready start it again when it has gone idle.
 //
 // Scheduling is cooperative and serial: at most one entity executes at a
 // time. Entities made runnable — woken by a primitive, newly spawned, or
@@ -15,20 +24,27 @@
 // a pure function of virtual state rather than of host scheduling, so a
 // run's virtual timeline is reproducible on any host.
 //
+// A primitive parks and wakes entities through their Proc handle: the
+// blocking entity records Clock.Current in the primitive's wait queue, then
+// calls Clock.Block, which returns once a waker has passed that handle to
+// Clock.Ready. The waker keeps running; the woken entity joins the ready
+// queue.
+//
 // Rules for code running under the simulator:
 //
 //   - All cross-entity blocking must use sim primitives (Mutex, Cond, Chan,
 //     WaitGroup) or clock waits. Host sync primitives may be used only for
 //     critical sections that never block on a sim primitive while held.
-//   - Every goroutine that touches sim primitives must be spawned with
-//     Env.Go (or driven through Env.Run).
+//   - Every function that touches blocking sim primitives must run as an
+//     entity: spawned with Env.Go or driven through Env.Run.
 //
 // Virtual time is int64 nanoseconds since simulation start.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -41,40 +57,115 @@ type Time int64
 // Duration is a span of virtual time in nanoseconds.
 type Duration = time.Duration
 
-// waiter states (guarded by Clock.mu).
-const (
-	waiterPending = iota
-	waiterFired
-	waiterCanceled
-)
-
-type waiter struct {
-	at     Time
-	seq    uint64 // tie-break so equal timestamps wake FIFO
-	ch     chan struct{}
-	where  string // description for deadlock reports
-	state  int    // pending / fired / canceled
-	parked bool   // owner is inside Alarm.Wait (alarms only)
+// Proc is the handle of one simulated entity. A primitive that parks the
+// calling entity records Clock.Current, calls Clock.Block, and is woken by
+// whoever passes the handle to Clock.Ready.
+type Proc struct {
+	next  func() (struct{}, bool) // resumes the coroutine until it yields or ends
+	yield func(struct{}) bool     // suspends the coroutine back to the kernel
 }
 
-type waitHeap []*waiter
+// runState carries a driver's outcome from its coroutine to Run's caller.
+type runState struct {
+	done   chan struct{}
+	failed any  // panic value to re-raise in Run's caller
+	goexit bool // the driver called runtime.Goexit (t.FailNow)
+}
 
-func (h waitHeap) Len() int { return len(h) }
-func (h waitHeap) Less(i, j int) bool {
+// park suspends the calling entity until the kernel resumes it.
+func (p *Proc) park() { p.yield(struct{}{}) }
+
+// entityPanic carries a panic out of an entity with the stack it was
+// raised on, which re-raising on another goroutine would otherwise lose.
+type entityPanic struct {
+	val   any
+	stack []byte
+}
+
+func (e *entityPanic) Error() string {
+	return fmt.Sprintf("%v\n\nentity goroutine stack:\n%s", e.val, e.stack)
+}
+
+// Unwrap exposes an error panic value to errors.Is and errors.As.
+func (e *entityPanic) Unwrap() error {
+	err, _ := e.val.(error)
+	return err
+}
+
+// newProc wraps body as a coroutine that starts at its first dispatch.
+func newProc(body func()) *Proc {
+	p := &Proc{}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		body()
+	})
+	return p
+}
+
+// alarm states (guarded by Clock.mu).
+const (
+	alarmPending = iota
+	alarmFired
+	alarmCanceled
+)
+
+// waiter is one pending wakeup on the heap: a sleeping entity, or an
+// alarm whose waiter (if any) is bound at Alarm.Wait.
+type waiter struct {
+	at    Time
+	seq   uint64 // tie-break so equal timestamps wake FIFO
+	p     *Proc  // the sleeper; nil for an alarm
+	alarm *Alarm
+}
+
+// waitHeap is a binary min-heap of waiters ordered by (at, seq). Entries
+// are values, so pushing a sleeper allocates nothing once the slice has
+// grown.
+type waitHeap []waiter
+
+func (h waitHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h waitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waitHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
-func (h *waitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
+
+func (h *waitHeap) push(w waiter) {
+	*h = append(*h, w)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *waitHeap) pop() waiter {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = waiter{}
+	s = s[:n]
+	for i := 0; ; {
+		min, l := i, 2*i+1
+		if l < n && s.less(l, min) {
+			min = l
+		}
+		if r := l + 1; r < n && s.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	*h = s
+	return top
 }
 
 // Clock is the virtual clock and scheduler shared by all entities of one
@@ -82,14 +173,16 @@ func (h *waitHeap) Pop() any {
 type Clock struct {
 	mu      sync.Mutex
 	now     Time
-	runners int             // entities currently dispatched (0 or 1)
-	blocked int             // entities blocked on non-clock sim primitives
-	ready   []chan struct{} // FIFO of runnable entities awaiting dispatch
+	cur     *Proc   // entity the kernel is running
+	ready   []*Proc // FIFO of runnable entities; ready[head:] are queued
+	head    int
 	seq     uint64
 	heap    waitHeap
+	blocked int            // entities blocked on non-clock sim primitives
 	stalled map[string]int // where -> count, for deadlock diagnostics
-	active  int            // drivers currently inside Env.Run
-	dead    bool
+	drivers []*runState    // drivers currently inside Env.Run
+	kernel  bool           // a kernel goroutine is running
+	dead    string         // deadlock report, once the kernel found one
 }
 
 // NewClock returns a fresh virtual clock at time zero.
@@ -104,39 +197,104 @@ func (c *Clock) Now() Time {
 	return c.now
 }
 
-// dispatchLocked hands the run slot to the longest-ready entity.
-// Caller holds c.mu and has established runners == 0.
-func (c *Clock) dispatchLocked() {
-	ch := c.ready[0]
-	c.ready = c.ready[1:]
-	c.runners++
-	close(ch)
+// Current returns the handle of the calling entity. Only an entity may
+// call it, typically just before it parks with Block.
+func (c *Clock) Current() *Proc {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cur
 }
 
-// join registers a new entity (spawned goroutine or Run driver) and
-// returns the gate channel that closes when the scheduler dispatches it.
-func (c *Clock) join() chan struct{} {
-	c.mu.Lock()
-	ch := make(chan struct{})
-	c.ready = append(c.ready, ch)
-	// An idle simulation (no current runner) has nothing that will reach a
-	// dispatch point, so dispatch here; this is how the first entity starts.
-	if c.runners == 0 {
-		c.dispatchLocked()
+// enqueueLocked makes p runnable and makes sure a kernel will dispatch it.
+// Caller holds c.mu.
+func (c *Clock) enqueueLocked(p *Proc) {
+	c.ready = append(c.ready, p)
+	if !c.kernel && c.dead == "" {
+		c.kernel = true
+		go c.loop()
 	}
-	c.mu.Unlock()
-	return ch
 }
 
-// exit deregisters the running entity, dispatching the next one.
-func (c *Clock) exit() {
+// spawn queues a new entity running body.
+func (c *Clock) spawn(body func()) {
+	p := newProc(body)
 	c.mu.Lock()
-	c.runners--
-	dead := c.maybeAdvanceLocked()
+	c.enqueueLocked(p)
 	c.mu.Unlock()
-	if dead != "" {
-		panic("sim: deadlock — all entities blocked: " + dead)
+}
+
+// loop is the kernel: it resumes one entity at a time until nothing is
+// runnable, then exits. A runtime.Goexit raised by an entity (t.FailNow in
+// a driver) unwinds through p.next and ends this goroutine; a replacement
+// kernel then takes over, so the simulation survives a failing driver.
+func (c *Clock) loop() {
+	clean := false
+	defer func() {
+		if !clean {
+			go c.loop()
+		}
+	}()
+	c.mu.Lock()
+	for {
+		p := c.pickLocked()
+		c.cur = p
+		if p == nil {
+			c.kernel = false
+			c.mu.Unlock()
+			clean = true
+			return
+		}
+		c.mu.Unlock()
+		p.next()
+		c.mu.Lock()
 	}
+}
+
+// pickLocked returns the next entity to run: the longest-ready one, else
+// the earliest heap waiter (advancing virtual time to its deadline), else
+// nil. With nothing runnable or scheduled while a driver is inside Run
+// and entities are parked on primitives, the simulation can never make
+// progress: pickLocked records the deadlock and fails every driver.
+// (With no active driver, parked service entities are just idle.)
+// Caller holds c.mu.
+func (c *Clock) pickLocked() *Proc {
+	if c.dead != "" {
+		return nil
+	}
+	if c.head < len(c.ready) {
+		p := c.ready[c.head]
+		c.ready[c.head] = nil
+		c.head++
+		if c.head == len(c.ready) {
+			c.ready, c.head = c.ready[:0], 0
+		}
+		return p
+	}
+	for len(c.heap) > 0 {
+		w := c.heap.pop()
+		if a := w.alarm; a != nil {
+			if a.state == alarmCanceled {
+				continue // heap garbage left by Cancel
+			}
+			a.state = alarmFired
+			c.now = w.at
+			if a.owner == nil {
+				continue // fired before anyone waited; Wait returns at once
+			}
+			return a.owner
+		}
+		c.now = w.at
+		return w.p
+	}
+	if c.blocked > 0 && len(c.drivers) > 0 {
+		c.dead = "sim: deadlock — all entities blocked: " + c.stallReportLocked()
+		for _, r := range c.drivers {
+			r.failed = c.dead
+			close(r.done)
+		}
+		c.drivers = nil
+	}
+	return nil
 }
 
 // Sleep blocks the calling entity for d of virtual time.
@@ -145,7 +303,7 @@ func (c *Clock) Sleep(d Duration) {
 		return
 	}
 	c.mu.Lock()
-	c.sleepUntilLocked(c.now+Time(d), "sleep")
+	c.sleepUntilLocked(c.now + Time(d))
 }
 
 // WaitUntil blocks the calling entity until virtual time t.
@@ -155,166 +313,137 @@ func (c *Clock) WaitUntil(t Time) {
 		c.mu.Unlock()
 		return
 	}
-	c.sleepUntilLocked(t, "waitUntil")
+	c.sleepUntilLocked(t)
 }
 
-// sleepUntilLocked enqueues the caller on the wait heap and releases the
-// clock lock. The caller must hold c.mu.
-func (c *Clock) sleepUntilLocked(t Time, where string) {
-	w := &waiter{at: t, seq: c.seq, ch: make(chan struct{}), where: where}
+// sleepUntilLocked puts the caller on the wait heap, releases the clock
+// lock and parks. The caller must hold c.mu.
+func (c *Clock) sleepUntilLocked(t Time) {
+	p := c.cur
+	c.heap.push(waiter{at: t, seq: c.seq, p: p})
 	c.seq++
-	heap.Push(&c.heap, w)
-	c.runners--
-	dead := c.maybeAdvanceLocked()
 	c.mu.Unlock()
-	if dead != "" {
-		panic("sim: deadlock — all entities blocked: " + dead)
-	}
-	<-w.ch
+	p.park()
 }
 
 // Block parks the calling entity on an external primitive (mutex queue,
-// channel, ...). The primitive hands it back to the scheduler with Ready.
-// where describes the wait site for deadlock reports.
+// channel, ...) and returns once the primitive hands it back with Ready.
+// The caller must have recorded its Current handle where the waker will
+// find it. where describes the wait site for deadlock reports.
 func (c *Clock) Block(where string) {
 	c.mu.Lock()
-	c.runners--
 	c.blocked++
 	c.stalled[where]++
-	dead := c.maybeAdvanceLocked()
+	p := c.cur
 	c.mu.Unlock()
-	if dead != "" {
-		panic("sim: deadlock — all entities blocked: " + dead)
-	}
+	p.park()
 }
 
 // Ready marks an entity previously parked with Block as runnable: it joins
-// the dispatch queue and its channel ch closes when it is dispatched. The
+// the dispatch queue and its Block returns when it is dispatched. The
 // waker keeps the run slot and continues; this is what keeps wake order a
-// function of program order rather than of host scheduling.
-func (c *Clock) Ready(where string, ch chan struct{}) {
+// function of program order rather than of host scheduling. Host code may
+// call Ready too, including while the simulation is idle.
+func (c *Clock) Ready(where string, p *Proc) {
 	c.mu.Lock()
 	c.blocked--
 	c.stalled[where]--
 	if c.stalled[where] == 0 {
 		delete(c.stalled, where)
 	}
-	c.ready = append(c.ready, ch)
-	// Wakes from host (non-entity) code while the simulation is idle must
-	// dispatch here or the wake would be lost.
-	if c.runners == 0 {
-		c.dispatchLocked()
-	}
+	c.enqueueLocked(p)
 	c.mu.Unlock()
 }
 
-// maybeAdvanceLocked dispatches the next ready entity if no entity is
-// running, advancing virtual time to the earliest pending wakeup when the
-// ready queue is empty. It returns a non-empty diagnostic when the
-// simulation is deadlocked; the caller must release c.mu before panicking.
-// Caller holds c.mu.
-func (c *Clock) maybeAdvanceLocked() (deadlock string) {
-	if c.runners > 0 || c.dead {
-		return ""
+// startRun registers driver p (reporting to r) as active and queues it in
+// one critical section, so an idle kernel can never observe the driver
+// half-registered and report a false deadlock. It returns the deadlock
+// report instead if the simulation is already dead.
+func (c *Clock) startRun(p *Proc, r *runState) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead != "" {
+		return c.dead
 	}
-	if len(c.ready) > 0 {
-		c.dispatchLocked()
-		return ""
-	}
-	// Canceled alarms are heap garbage; drop them before deciding.
-	for len(c.heap) > 0 && c.heap[0].state == waiterCanceled {
-		heap.Pop(&c.heap)
-	}
-	if len(c.heap) == 0 {
-		if c.blocked > 0 && c.active > 0 {
-			// A driver is inside Run, every entity is parked on a
-			// primitive, and nothing is scheduled to wake: the
-			// simulation cannot make progress. (With no active driver,
-			// parked service entities are just idle, not deadlocked.)
-			c.dead = true
-			return c.stallReportLocked()
-		}
-		return ""
-	}
-	// Wake the single earliest waiter; later waiters at the same instant
-	// dispatch one at a time as earlier ones block again.
-	w := heap.Pop(&c.heap).(*waiter)
-	w.state = waiterFired
-	c.now = w.at
-	c.runners++
-	close(w.ch)
+	c.drivers = append(c.drivers, r)
+	c.enqueueLocked(p)
 	return ""
 }
 
-// Alarm is a cancellable virtual-time wakeup. The owning entity schedules
-// it with NewAlarm, then parks in Wait; any other entity may Cancel it
-// early, waking the owner before the deadline. Unlike spawning a timer
-// entity, a canceled alarm leaves no pending wakeup behind, so it never
-// drags the virtual clock out to its deadline.
-type Alarm struct {
-	c *Clock
-	w *waiter
+// endRun deregisters a driver and releases Run's caller, unless a
+// deadlock already did. Called from the driver's coroutine as it finishes.
+func (c *Clock) endRun(r *runState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, d := range c.drivers {
+		if d == r {
+			c.drivers = append(c.drivers[:i], c.drivers[i+1:]...)
+			close(r.done)
+			return
+		}
+	}
 }
 
-// NewAlarm schedules a wakeup for the calling entity at virtual time t
-// (clamped to now). The entity must follow with Wait before blocking on
-// anything else.
+// Alarm is a cancellable virtual-time wakeup. NewAlarm schedules it; any
+// one entity may then park in Wait — not necessarily the one that created
+// it — and any other entity may Cancel it early, waking the waiter before
+// the deadline. Unlike spawning a timer entity, a canceled alarm leaves no
+// pending wakeup behind, so it never drags the virtual clock out to its
+// deadline.
+type Alarm struct {
+	c     *Clock
+	state int   // pending / fired / canceled, guarded by c.mu
+	owner *Proc // entity parked in Wait; bound there, not at NewAlarm
+}
+
+// NewAlarm schedules a wakeup at virtual time t (clamped to now). where
+// names the wait site.
 func (c *Clock) NewAlarm(t Time, where string) *Alarm {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t < c.now {
 		t = c.now
 	}
-	w := &waiter{at: t, seq: c.seq, ch: make(chan struct{}), where: where}
+	a := &Alarm{c: c}
+	c.heap.push(waiter{at: t, seq: c.seq, alarm: a})
 	c.seq++
-	heap.Push(&c.heap, w)
-	return &Alarm{c: c, w: w}
+	return a
 }
 
-// Wait parks the owning entity until the alarm fires or is canceled. It
+// Wait parks the calling entity until the alarm fires or is canceled. It
 // returns true if the deadline fired, false if Cancel woke it early.
 func (a *Alarm) Wait() bool {
 	c := a.c
 	c.mu.Lock()
-	if a.w.state == waiterCanceled {
-		// Canceled before the owner parked: return without ever leaving
-		// the run slot; the heap entry is dropped as garbage.
+	if a.state != alarmPending {
+		// Settled before anyone parked: return without leaving the run
+		// slot; a canceled heap entry is dropped as garbage.
+		fired := a.state == alarmFired
 		c.mu.Unlock()
-		return false
+		return fired
 	}
-	a.w.parked = true
-	c.runners--
-	dead := c.maybeAdvanceLocked()
+	a.owner = c.cur
 	c.mu.Unlock()
-	if dead != "" {
-		panic("sim: deadlock — all entities blocked: " + dead)
-	}
-	<-a.w.ch
+	a.owner.park()
 	c.mu.Lock()
-	fired := a.w.state == waiterFired
-	c.mu.Unlock()
-	return fired
+	defer c.mu.Unlock()
+	return a.state == alarmFired
 }
 
-// Cancel wakes the alarm's owner before the deadline. Calling it after
+// Cancel wakes the alarm's waiter before the deadline. Calling it after
 // the alarm fired (or cancelling twice) is a no-op. Cancel may be called
-// before the owner reaches Wait; the runner accounting still balances.
+// before anyone reaches Wait; Wait then returns false at once.
 func (a *Alarm) Cancel() {
 	c := a.c
 	c.mu.Lock()
-	if a.w.state != waiterPending {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if a.state != alarmPending {
 		return
 	}
-	a.w.state = waiterCanceled
-	if a.w.parked {
-		// The owner is parked in Wait; hand it to the dispatch queue.
-		c.ready = append(c.ready, a.w.ch)
-		if c.runners == 0 {
-			c.dispatchLocked()
-		}
+	a.state = alarmCanceled
+	if a.owner != nil {
+		c.enqueueLocked(a.owner)
 	}
-	c.mu.Unlock()
 }
 
 func (c *Clock) stallReportLocked() string {
@@ -328,4 +457,12 @@ func (c *Clock) stallReportLocked() string {
 		fmt.Fprintf(&b, "%s×%d ", k, c.stalled[k])
 	}
 	return b.String()
+}
+
+// recoverEntity turns a panic in an entity into an entityPanic carrying
+// the entity's stack; call it deferred, directly.
+func recoverEntity() {
+	if r := recover(); r != nil {
+		panic(&entityPanic{val: r, stack: debug.Stack()})
+	}
 }

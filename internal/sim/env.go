@@ -1,6 +1,10 @@
 package sim
 
-import "sync"
+import (
+	"runtime"
+	"runtime/debug"
+	"sync"
+)
 
 // Env is one simulation world: a virtual clock plus bookkeeping for the
 // entities that live in it. All components of a simulated deployment
@@ -34,35 +38,51 @@ func (e *Env) WaitUntil(t Time) { e.clock.WaitUntil(t) }
 
 // Go spawns fn as a new simulated entity. The entity joins the scheduler's
 // ready queue when Go returns and starts executing at its first dispatch
-// (when the spawning entity next blocks, or immediately if nothing runs).
+// (when the spawning entity next blocks, or at once if nothing runs). Host
+// code may call Go too, before or between Runs.
 func (e *Env) Go(fn func()) {
 	e.wg.Add(1)
-	gate := e.clock.join()
-	go func() {
+	e.clock.spawn(func() {
 		defer e.wg.Done()
-		defer e.clock.exit()
-		<-gate
+		defer recoverEntity()
 		fn()
-	}()
+	})
 }
 
-// Run registers the calling goroutine as a driver entity, runs fn, then
-// deregisters. Use it to drive a simulation from a test or main goroutine.
-// Deadlock detection is armed only while at least one driver is inside
-// Run: service entities parked on empty queues between Runs are idle, not
-// deadlocked.
+// Run runs fn as a driver entity and returns when it does. Use it to drive
+// a simulation from a test or main goroutine. A panic or runtime.Goexit
+// (t.FailNow) in fn is re-raised in Run's caller, as is a deadlock the
+// kernel finds while fn is running; the Env stays usable after a driver
+// panic or Goexit. Deadlock detection is armed only while at least one
+// driver is inside Run: service entities parked on empty queues between
+// Runs are idle, not deadlocked.
 func (e *Env) Run(fn func()) {
-	e.clock.mu.Lock()
-	e.clock.active++
-	e.clock.mu.Unlock()
-	<-e.clock.join()
-	defer func() {
-		e.clock.mu.Lock()
-		e.clock.active--
-		e.clock.mu.Unlock()
-		e.clock.exit()
-	}()
-	fn()
+	r := &runState{done: make(chan struct{})}
+	p := newProc(func() {
+		finished := false
+		defer func() {
+			if !finished {
+				if v := recover(); v != nil {
+					r.failed = &entityPanic{val: v, stack: debug.Stack()}
+				} else {
+					r.goexit = true
+				}
+			}
+			e.clock.endRun(r)
+		}()
+		fn()
+		finished = true
+	})
+	if dead := e.clock.startRun(p, r); dead != "" {
+		panic(dead)
+	}
+	<-r.done
+	if r.failed != nil {
+		panic(r.failed)
+	}
+	if r.goexit {
+		runtime.Goexit()
+	}
 }
 
 // Wait blocks the host goroutine until every entity spawned with Go has

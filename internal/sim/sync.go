@@ -2,6 +2,22 @@ package sim
 
 import "sync"
 
+// popFront removes and returns the head of a wait queue. A queue that
+// drains keeps its backing array, so a steady one-waiter handoff appends
+// without allocating.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	var zero T
+	s[0] = zero
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return v
+}
+
 // Mutex is a mutual-exclusion lock for simulated entities. Waiting on a
 // contended Mutex parks the entity in virtual time (FIFO handoff), so lock
 // waits are invisible to the virtual clock until the holder releases.
@@ -9,7 +25,7 @@ type Mutex struct {
 	clock *Clock
 	mu    sync.Mutex
 	held  bool
-	queue []chan struct{}
+	queue []*Proc
 }
 
 // NewMutex returns a Mutex bound to the environment's clock.
@@ -23,11 +39,9 @@ func (m *Mutex) Lock() {
 		m.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	m.queue = append(m.queue, ch)
+	m.queue = append(m.queue, m.clock.Current())
 	m.mu.Unlock()
 	m.clock.Block("mutex")
-	<-ch
 }
 
 // TryLock acquires m if it is free, reporting whether it did.
@@ -53,10 +67,9 @@ func (m *Mutex) Unlock() {
 		m.mu.Unlock()
 		return
 	}
-	ch := m.queue[0]
-	m.queue = m.queue[1:]
+	p := popFront(&m.queue)
 	m.mu.Unlock()
-	m.clock.Ready("mutex", ch) // ownership hands off; held stays true
+	m.clock.Ready("mutex", p) // ownership hands off; held stays true
 }
 
 // Cond is a condition variable whose waiters are simulated entities.
@@ -66,7 +79,7 @@ type Cond struct {
 	clock *Clock
 	name  string
 	mu    sync.Mutex
-	queue []chan struct{}
+	queue []*Proc
 }
 
 // NewCond returns a condition variable using l as its lock.
@@ -81,13 +94,11 @@ func NewNamedCond(e *Env, l *Mutex, name string) *Cond {
 // Wait atomically releases c.L, parks the entity until Signal/Broadcast,
 // then reacquires c.L before returning.
 func (c *Cond) Wait() {
-	ch := make(chan struct{})
 	c.mu.Lock()
-	c.queue = append(c.queue, ch)
+	c.queue = append(c.queue, c.clock.Current())
 	c.mu.Unlock()
 	c.L.Unlock()
 	c.clock.Block(c.name)
-	<-ch
 	c.L.Lock()
 }
 
@@ -98,10 +109,9 @@ func (c *Cond) Signal() {
 		c.mu.Unlock()
 		return
 	}
-	ch := c.queue[0]
-	c.queue = c.queue[1:]
+	p := popFront(&c.queue)
 	c.mu.Unlock()
-	c.clock.Ready(c.name, ch)
+	c.clock.Ready(c.name, p)
 }
 
 // Broadcast wakes all waiters.
@@ -110,8 +120,8 @@ func (c *Cond) Broadcast() {
 	q := c.queue
 	c.queue = nil
 	c.mu.Unlock()
-	for _, ch := range q {
-		c.clock.Ready(c.name, ch)
+	for _, p := range q {
+		c.clock.Ready(c.name, p)
 	}
 }
 
@@ -120,7 +130,7 @@ type WaitGroup struct {
 	clock *Clock
 	mu    sync.Mutex
 	n     int
-	queue []chan struct{}
+	queue []*Proc
 }
 
 // NewWaitGroup returns a WaitGroup bound to the environment's clock.
@@ -134,14 +144,14 @@ func (w *WaitGroup) Add(delta int) {
 		w.mu.Unlock()
 		panic("sim: negative WaitGroup counter")
 	}
-	var q []chan struct{}
+	var q []*Proc
 	if w.n == 0 {
 		q = w.queue
 		w.queue = nil
 	}
 	w.mu.Unlock()
-	for _, ch := range q {
-		w.clock.Ready("waitgroup", ch)
+	for _, p := range q {
+		w.clock.Ready("waitgroup", p)
 	}
 }
 
@@ -155,9 +165,7 @@ func (w *WaitGroup) Wait() {
 		w.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{})
-	w.queue = append(w.queue, ch)
+	w.queue = append(w.queue, w.clock.Current())
 	w.mu.Unlock()
 	w.clock.Block("waitgroup")
-	<-ch
 }
